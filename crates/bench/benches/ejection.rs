@@ -19,12 +19,11 @@
 //!   scan re-runs after every ejection) and the wide-window suite (crowded
 //!   large-II tables where the scan dominates without any churn). Both
 //!   scans pick bit-identical slots (`tests/slot_equivalence.rs`).
-//! * `arena_ladder/*` — the PR 5 mechanisms on the churn suite: the
+//! * `arena_ladder/*` — the ladder mechanisms on the churn suite: the
 //!   persistent `AttemptArena` against per-attempt rebuilds
-//!   (`with_fresh_arena`), batched row ejection against the per-victim loop
-//!   (`with_per_victim_ejection`), and the budget-aware II-ladder skipping
-//!   against the unit ladder (`with_unit_ladder`). Bit-identical schedules
-//!   across all four (`tests/ladder_equivalence.rs`).
+//!   (`with_fresh_arena`), and the budget-aware II-ladder skipping against
+//!   the unit ladder (`with_unit_ladder`). Same final IIs across all three
+//!   (`tests/ladder_equivalence.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hcrf_ir::{DdgBuilder, OpKind, OpLatencies};
@@ -32,7 +31,7 @@ use hcrf_machine::{MachineConfig, RfOrganization};
 use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
-use hcrf_sched::{IterativeScheduler, PlacementStore, SchedulerParams, StoreTuning};
+use hcrf_sched::{IterativeScheduler, PlacementStore, SchedulerParams};
 use hcrf_workloads::{churn_suite, wide_window_suite};
 
 fn victim_search(c: &mut Criterion) {
@@ -78,8 +77,7 @@ fn victim_probe(c: &mut Criterion) {
     let w = WorkGraph::new(&g, &machine);
     let caps = ResourceCaps::from_machine(&machine);
     let order = priority_order(&w, &lat, ii);
-    let mut store =
-        PlacementStore::new(ii, caps, g.num_nodes(), order, StoreTuning::tracking(false));
+    let mut store = PlacementStore::new(ii, caps, g.num_nodes(), order, false);
     for (i, n) in nodes.iter().enumerate() {
         store.place(&w, *n, (i % ii as usize) as i64, 0, &lat);
     }
@@ -137,26 +135,20 @@ fn slot_search(c: &mut Criterion) {
 }
 
 fn arena_and_ladder(c: &mut Criterion) {
-    // The PR 5 stack, each oracle isolating one mechanism on the churn
-    // suite: `fresh` rebuilds WorkGraph/order/store per II attempt instead
-    // of resetting the persistent arena, `per_victim` forces slots one
-    // pick_victim+eject transaction at a time instead of the batched row
-    // drain, and `unit_ladder` climbs the II ladder by 1 instead of the
-    // budget-aware geometric skip. All four produce bit-identical schedules
-    // (`tests/ladder_equivalence.rs`; the unit ladder differs only in which
-    // failing rungs it pays for).
+    // Each oracle isolates one mechanism on the churn suite: `fresh`
+    // rebuilds WorkGraph/order/store per II attempt instead of resetting the
+    // persistent arena, and `unit_ladder` climbs the II ladder by 1 instead
+    // of the budget-aware geometric skip. All three land on the same final
+    // IIs (`tests/ladder_equivalence.rs`; the unit ladder differs only in
+    // which failing rungs it pays for).
     let loops = churn_suite(32);
     let params = SchedulerParams::default().without_schedule();
     let machine = MachineConfig::paper_baseline(RfOrganization::parse("4C16S64").unwrap());
-    let variants: [(&str, IterativeScheduler); 4] = [
+    let variants: [(&str, IterativeScheduler); 3] = [
         ("default", IterativeScheduler::new(machine.clone(), params)),
         (
             "fresh_arena",
             IterativeScheduler::new(machine.clone(), params).with_fresh_arena(),
-        ),
-        (
-            "per_victim",
-            IterativeScheduler::new(machine.clone(), params).with_per_victim_ejection(),
         ),
         (
             "unit_ladder",

@@ -32,7 +32,7 @@
 
 use crate::mrt::ResourceCaps;
 use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
-use crate::store::{PlacementStore, StoreTuning};
+use crate::store::PlacementStore;
 use crate::types::SchedulerStats;
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{Ddg, EdgeId, NodeId, OpLatencies};
@@ -99,13 +99,20 @@ impl AttemptArena {
     /// Build the arena for one loop on one machine: clones the body into a
     /// working graph, marks it pristine and shapes an empty placement store.
     /// [`AttemptArena::reset`] must run before the first attempt.
-    pub fn new(ddg: &Ddg, machine: &MachineConfig, tuning: StoreTuning) -> Self {
+    /// `track_pressure` is forwarded to [`PlacementStore::new`].
+    pub fn new(ddg: &Ddg, machine: &MachineConfig, track_pressure: bool) -> Self {
         let mut w = WorkGraph::new(ddg, machine);
         w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         let pristine_nodes = w.ddg.num_nodes();
         let order_ii_sensitive = w.has_loop_carried_deps();
-        let store = PlacementStore::new(1, caps, pristine_nodes, PriorityOrder::empty(), tuning);
+        let store = PlacementStore::new(
+            1,
+            caps,
+            pristine_nodes,
+            PriorityOrder::empty(),
+            track_pressure,
+        );
         AttemptArena {
             w,
             store,
@@ -137,14 +144,14 @@ impl AttemptArena {
     /// results are bit-identical whether arenas are pooled across loops,
     /// reused within one loop, or rebuilt per attempt
     /// ([`crate::IterativeScheduler::with_fresh_arena`]).
-    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig, tuning: StoreTuning) {
+    pub fn rebind(&mut self, ddg: &Ddg, machine: &MachineConfig, track_pressure: bool) {
         self.w.rebind(ddg, machine);
         self.w.mark_pristine();
         let caps = ResourceCaps::from_machine(machine);
         self.pristine_nodes = self.w.ddg.num_nodes();
         self.order_ii_sensitive = self.w.has_loop_carried_deps();
         self.order_ready = false;
-        self.store.rebind(caps, self.pristine_nodes, tuning);
+        self.store.rebind(caps, self.pristine_nodes, track_pressure);
         self.budget = 0;
         self.stats = SchedulerStats::default();
         self.ii = 1;
@@ -276,15 +283,14 @@ impl AttemptArena {
         &self.stats
     }
 
-    /// Drain the store's engine counters (pressure refreshes/skips, fused
-    /// row updates) into this attempt's stats. The scheduler calls it once
+    /// Drain the store's engine counters (pressure refreshes, fused row
+    /// updates) into this attempt's stats. The scheduler calls it once
     /// per attempt, right before absorbing the attempt into the ladder
     /// totals — the store zeroes its side on every reset, so nothing can be
     /// counted twice.
     pub fn fold_store_counters(&mut self) {
-        let (refreshes, skips, fused) = self.store.take_engine_counters();
+        let (refreshes, fused) = self.store.take_engine_counters();
         self.stats.pressure_refreshes += refreshes;
-        self.stats.refresh_skips += skips;
         self.stats.fused_row_updates += fused;
     }
 
@@ -343,17 +349,17 @@ impl ArenaPool {
         &mut self,
         ddg: &Ddg,
         machine: &MachineConfig,
-        tuning: StoreTuning,
+        track_pressure: bool,
     ) -> AttemptArena {
         match self.arena.take() {
             Some(mut a) => {
-                a.rebind(ddg, machine, tuning);
+                a.rebind(ddg, machine, track_pressure);
                 self.rebinds += 1;
                 a
             }
             None => {
                 self.builds += 1;
-                AttemptArena::new(ddg, machine, tuning)
+                AttemptArena::new(ddg, machine, track_pressure)
             }
         }
     }
@@ -414,7 +420,7 @@ mod tests {
     #[test]
     fn spill_growth_does_not_leak_into_next_reset() {
         let machine = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &machine, true);
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         arena.reset(3, &lat());
@@ -468,7 +474,7 @@ mod tests {
     #[test]
     fn rebind_to_new_loop_and_machine_matches_fresh_build() {
         let m1 = MachineConfig::paper_baseline(RfOrganization::parse("S16").unwrap());
-        let mut arena = AttemptArena::new(&spill_heavy(), &m1, StoreTuning::default());
+        let mut arena = AttemptArena::new(&spill_heavy(), &m1, true);
         arena.reset(3, &lat());
         // Dirty the arena exactly like a failing attempt would.
         let (w, store) = arena.parts_mut();
@@ -487,9 +493,9 @@ mod tests {
         // Re-target at a clustered-hierarchical machine and a new loop.
         let g2 = recurrence_kernel();
         let m2 = MachineConfig::paper_baseline(RfOrganization::parse("4C16S64").unwrap());
-        arena.rebind(&g2, &m2, StoreTuning::default());
+        arena.rebind(&g2, &m2, true);
         let fresh = {
-            let mut f = AttemptArena::new(&g2, &m2, StoreTuning::default());
+            let mut f = AttemptArena::new(&g2, &m2, true);
             f.reset(2, &lat());
             f
         };

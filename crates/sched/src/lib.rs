@@ -65,6 +65,6 @@ pub use pressure::{Pressure, PressureQuery, PressureTracker, ValueLifetime};
 pub use scheduler::{
     schedule_loop, schedule_loop_baseline36, IterativeScheduler, PhaseTimings, EJECTION_GUARD_LIMIT,
 };
-pub use store::{PlacementStore, RowEjectOutcome, RowEjectReport, SlotIndex, StoreTuning};
+pub use store::{PlacementStore, SlotIndex};
 pub use types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
 pub use validate::{validate_schedule, validate_store};

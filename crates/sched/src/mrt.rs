@@ -92,16 +92,8 @@ impl ResourceCaps {
 pub struct Mrt {
     ii: u32,
     caps: ResourceCaps,
-    /// Per-row FU unit counts, packed four 16-bit lanes per `u64` word in
-    /// cluster-major order: lane `row % 4` of word
-    /// `cluster * count_words() + row / 4` holds the count of `row` on
-    /// `cluster`. The packing is what lets [`Mrt::fu_adjust_span`] update
-    /// the counts, the availability bits and the free-slot total of four
-    /// consecutive rows with one word operation each, and it keeps a span
-    /// walk on consecutive memory (the old `row * clusters + cluster`
-    /// layout strode by the cluster count). Lanes at rows past the II stay
-    /// zero ([`Mrt::check_masks`] enforces it).
-    fu_counts: Vec<u64>,
+    /// `fu[row * clusters + cluster]` (FU unit counts)
+    fu: Vec<u16>,
     /// `mem[row * clusters + cluster]` (per-cluster memory ports)
     mem: Vec<u16>,
     /// `shared_mem[row]`
@@ -127,40 +119,6 @@ pub struct Mrt {
     bus_avail: Vec<u64>,
     lp_avail: Vec<u64>,
     sp_avail: Vec<u64>,
-}
-
-/// 16-bit count lanes per packed FU-count word.
-const LANES: u32 = 4;
-/// Low bit of every count lane (`x * LANE_LSB` spreads `x < 2^16` into all
-/// four lanes).
-const LANE_LSB: u64 = 0x0001_0001_0001_0001;
-/// High bit of every count lane.
-const LANE_MSB: u64 = 0x8000_8000_8000_8000;
-
-/// Lane-wise `v < t` for four 16-bit lanes: returns the per-lane MSB set
-/// exactly where `lane(v) < lane(t)`. Valid while every lane of `v` has a
-/// clear MSB and every lane of `t` is at most `2^15` (the forced MSB of the
-/// minuend then absorbs any borrow, so lanes cannot contaminate each other).
-#[inline]
-fn lanes_lt(v: u64, t: u64) -> u64 {
-    !((v | LANE_MSB).wrapping_sub(t)) & LANE_MSB
-}
-
-/// Sum over the selected lanes of `max(cap - count, 0)` — the free-slot
-/// contribution of four rows — in word-parallel form. `cap_spread` is the
-/// capacity spread into all lanes; unselected lanes contribute zero. Valid
-/// under the same lane-magnitude bounds as [`lanes_lt`] plus `cap < 2^14`
-/// (so the horizontal sum cannot overflow its 16-bit result lane).
-#[inline]
-fn lane_free_sum(v: u64, sel: u64, cap_spread: u64) -> u64 {
-    // Unselected lanes are forced to exactly `cap`, i.e. zero free slots.
-    let vc = (v & sel) | (cap_spread & !sel);
-    // Per lane: d = vc + 0x8000 - cap, so `cap - vc = 0x8000 - d` where
-    // vc < cap (MSB of d clear) and the lane holds no free slots otherwise.
-    let d = (vc | LANE_MSB).wrapping_sub(cap_spread);
-    let full = ((!d & LANE_MSB) >> 15).wrapping_mul(0xFFFF);
-    let freew = (LANE_MSB & full).wrapping_sub(d & full);
-    freew.wrapping_mul(LANE_LSB) >> 48
 }
 
 /// Every resource class with an availability mask.
@@ -260,11 +218,10 @@ impl Mrt {
         let c = caps.clusters as usize;
         let words = rows.div_ceil(64);
         let mem_blocks = if caps.memory_is_shared() { 1 } else { c };
-        let cwords = rows.div_ceil(LANES as usize);
         let mut mrt = Mrt {
             ii,
             caps,
-            fu_counts: vec![0; cwords * c],
+            fu: vec![0; rows * c],
             mem: vec![0; rows * c],
             shared_mem: vec![0; rows],
             bus: vec![0; rows],
@@ -320,7 +277,7 @@ impl Mrt {
             v.clear();
             v.resize(len, val);
         }
-        refill(&mut self.fu_counts, rows.div_ceil(LANES as usize) * c, 0);
+        refill(&mut self.fu, rows * c, 0);
         refill(&mut self.mem, rows * c, 0);
         refill(&mut self.shared_mem, rows, 0);
         refill(&mut self.bus, rows, 0);
@@ -361,18 +318,6 @@ impl Mrt {
     /// Words per availability mask.
     fn words(&self) -> usize {
         (self.ii as usize).div_ceil(64)
-    }
-
-    /// Packed FU-count words per cluster.
-    fn count_words(&self) -> usize {
-        (self.ii as usize).div_ceil(LANES as usize)
-    }
-
-    /// FU unit count of one (row, cluster), read out of its packed lane.
-    #[inline]
-    pub(crate) fn fu_lane(&self, row: u32, cluster: u32) -> u16 {
-        let w = cluster as usize * self.count_words() + (row / LANES) as usize;
-        (self.fu_counts[w] >> ((row % LANES) * 16)) as u16
     }
 
     /// Capacity one unit-occupancy reservation of the class is checked
@@ -462,9 +407,10 @@ impl Mrt {
                 let occ = Self::occupancy(kind, lat);
                 let span = occ.min(self.ii);
                 for k in 0..span {
-                    let row = self.row_of(cycle + k as i64) as u32;
                     let needed = self.fu_copies(occ, k);
-                    if self.fu_lane(row, cluster) + needed > self.caps.fus_per_cluster as u16 {
+                    if self.fu[self.idx(cycle + k as i64, cluster)] + needed
+                        > self.caps.fus_per_cluster as u16
+                    {
                         return false;
                     }
                 }
@@ -637,10 +583,11 @@ impl Mrt {
     }
 
     /// Cross-check every availability bit against the row counts it
-    /// summarizes; returns a description of the first stale bit, if any.
-    /// Run by `validate_store` after every step of the randomized property
-    /// tests — a mutation path that touches counts without going through
-    /// [`Mrt::adjust`] shows up here.
+    /// summarizes, and each cluster's incremental FU free-slot total against
+    /// a recount of its rows; returns a description of the first stale
+    /// entry, if any. Run by `validate_store` after every step of the
+    /// randomized property tests — a mutation path that touches counts
+    /// without going through [`Mrt::adjust`] shows up here.
     pub fn check_masks(&self) -> Option<String> {
         for class in ALL_CLASSES {
             let cap = self.unit_cap(class);
@@ -653,7 +600,9 @@ impl Mrt {
                 let words = self.avail_words(class, cluster);
                 for row in 0..self.ii {
                     let count = match class {
-                        ResourceClass::Fu => self.fu_lane(row, cluster),
+                        ResourceClass::Fu => {
+                            self.fu[row as usize * self.caps.clusters as usize + cluster as usize]
+                        }
                         ResourceClass::MemPort => {
                             if self.caps.memory_is_shared() {
                                 self.shared_mem[row as usize]
@@ -689,31 +638,20 @@ impl Mrt {
                 }
             }
         }
-        // Replay the fused per-unit FU counts: the packed lanes must carry
-        // no ghost counts past the II (the word-parallel span update relies
-        // on it), and the incrementally maintained free-slot totals must
-        // match an O(II) recount of the lanes — count drift in either
-        // direction of the fused update shows up here.
+        // The incrementally maintained free-slot totals must match an O(II)
+        // recount of the FU rows.
         let cap = self.caps.fus_per_cluster;
+        let c = self.caps.clusters as usize;
         for cluster in 0..self.caps.clusters {
-            let mut free = 0u64;
-            for row in 0..self.ii {
-                free += cap.saturating_sub(self.fu_lane(row, cluster) as u32) as u64;
-            }
+            let free: u64 = (0..self.ii as usize)
+                .map(|row| cap.saturating_sub(self.fu[row * c + cluster as usize] as u32) as u64)
+                .sum();
             if free != self.fu_free[cluster as usize] as u64 {
                 return Some(format!(
-                    "FU free-slot total drifted from the packed counts: cluster {cluster} \
+                    "FU free-slot total drifted from the row counts: cluster {cluster} \
                      (tracked {}, recounted {free})",
                     self.fu_free[cluster as usize]
                 ));
-            }
-            for row in self.ii..(self.count_words() as u32 * LANES) {
-                let lane = self.fu_lane(row, cluster);
-                if lane != 0 {
-                    return Some(format!(
-                        "ghost FU count past the II: row {row} cluster {cluster} (count {lane})"
-                    ));
-                }
             }
         }
         None
@@ -736,7 +674,10 @@ impl Mrt {
             ResourceClass::Fu => {
                 let occ = Self::occupancy(kind, lat);
                 let start = self.row_of(cycle) as u32;
-                self.fu_adjust_span(start, occ, cluster, delta);
+                for k in 0..occ.min(self.ii) {
+                    let copies = self.fu_copies(occ, k);
+                    self.fu_adjust_row((start + k) % self.ii, copies, cluster, delta);
+                }
             }
             class => self.adjust_single(class, cycle, cluster, delta),
         }
@@ -745,18 +686,15 @@ impl Mrt {
     /// One row of an FU reservation: the row count, the incremental
     /// free-slot total and the availability bit all move together. `copies`
     /// is the per-row unit-copy count ([`Mrt::fu_copies`]). Exposed so the
-    /// store's split-row-update oracle can interleave these updates with the
-    /// slot-index row lists in one per-row walk over the occupancy span —
-    /// the scalar path [`Mrt::fu_adjust_span`] replaced, and the per-lane
-    /// fallback of its word-parallel core.
+    /// store's reservation walk can interleave these updates with the
+    /// slot-index row lists in one pass over the occupancy span.
     pub(crate) fn fu_adjust_row(&mut self, row: u32, copies: u16, cluster: u32, delta: i32) {
         let words = self.words();
         let cap = self.caps.fus_per_cluster as i64;
-        let w = cluster as usize * self.count_words() + (row / LANES) as usize;
-        let sh = (row % LANES) * 16;
-        let old = (self.fu_counts[w] >> sh) as u16;
+        let i = row as usize * self.caps.clusters as usize + cluster as usize;
+        let old = self.fu[i];
         let new = (old as i32 + delta * copies as i32).max(0) as u16;
-        self.fu_counts[w] = (self.fu_counts[w] & !(0xFFFFu64 << sh)) | ((new as u64) << sh);
+        self.fu[i] = new;
         // Free slots clamp at 0 on (transient) over-subscription, mirroring
         // what the O(II) recount would see.
         let free_delta = (cap - new as i64).max(0) - (cap - old as i64).max(0);
@@ -765,135 +703,6 @@ impl Mrt {
         let avail = row_avail(new, self.caps.fus_per_cluster);
         let base = cluster as usize * words;
         write_bit(&mut self.fu_avail[base..][..words], row as usize, avail);
-    }
-
-    /// Fused FU row maintenance over a whole occupancy span: decompose the
-    /// span into at most two runs of uniform per-row unit copies (rows
-    /// `k < occ % II` of an `occ > II` reservation carry one extra copy, see
-    /// [`Mrt::fu_copies`]) and update each run's packed counts, availability
-    /// bits and free-slot contribution word-parallel. Bit-identical in
-    /// effect to the per-row [`Mrt::fu_adjust_row`] walk it replaces.
-    pub(crate) fn fu_adjust_span(&mut self, start: u32, occ: u32, cluster: u32, delta: i32) {
-        if occ == 1 {
-            // The dominant case (fully pipelined operations): one row, one
-            // copy — skip the run decomposition and its divisions.
-            self.fu_adjust_row(start, 1, cluster, delta);
-            return;
-        }
-        let ii = self.ii;
-        let span = occ.min(ii);
-        let q = occ / ii;
-        let r = occ % ii;
-        if q == 0 || r == 0 {
-            // Uniform copies across the whole span (`occ <= II`, or an exact
-            // multiple of the II).
-            let copies = q.max(1).min(occ.max(1)) as u16;
-            self.fu_adjust_run(start, span, copies, cluster, delta);
-        } else {
-            self.fu_adjust_run(start, r, ((q + 1).min(occ)) as u16, cluster, delta);
-            self.fu_adjust_run((start + r) % ii, span - r, q as u16, cluster, delta);
-        }
-    }
-
-    /// One uniform-copies run of [`Mrt::fu_adjust_span`], split at the table
-    /// wrap into at most two linear row ranges.
-    fn fu_adjust_run(&mut self, start: u32, len: u32, copies: u16, cluster: u32, delta: i32) {
-        let first = len.min(self.ii - start);
-        self.fu_adjust_linear(start, first, copies, cluster, delta);
-        if len > first {
-            self.fu_adjust_linear(0, len - first, copies, cluster, delta);
-        }
-    }
-
-    /// The word-parallel core: adjust rows `[row0, row0 + n)` (no wrap, all
-    /// below the II) by `delta * copies` each, four rows per word operation —
-    /// the packed count word moves with one masked add/sub, the four
-    /// availability bits are re-derived with one lane-wise compare, and the
-    /// free-slot total moves by a lane-wise horizontal sum. Short runs and
-    /// words where a lane could carry, borrow or clamp fall back to the
-    /// per-lane [`Mrt::fu_adjust_row`], which keeps the state bit-identical
-    /// to the split per-row oracle in every case.
-    fn fu_adjust_linear(&mut self, row0: u32, n: u32, copies: u16, cluster: u32, delta: i32) {
-        if n == 0 {
-            return;
-        }
-        let cap = self.caps.fus_per_cluster;
-        // Below two words the scalar lane update wins; huge capacities or
-        // copy counts would overflow the lane-wise compares and free-slot
-        // sums (no real machine or occupancy gets near them).
-        if n < 2 * LANES || cap >= 0x4000 || copies >= 0x4000 {
-            for k in 0..n {
-                self.fu_adjust_row(row0 + k, copies, cluster, delta);
-            }
-            return;
-        }
-        let cap_spread = (cap as u64).wrapping_mul(LANE_LSB);
-        let inc_spread = (copies as u64).wrapping_mul(LANE_LSB);
-        let cw = self.count_words();
-        let words = self.words();
-        let base = cluster as usize * cw;
-        let mask_base = cluster as usize * words;
-        let end = row0 + n; // exclusive, <= II
-        let first_w = (row0 / LANES) as usize;
-        let last_w = ((end - 1) / LANES) as usize;
-        let mut free_delta: i64 = 0;
-        for w in first_w..=last_w {
-            let lane_lo = if w == first_w { row0 % LANES } else { 0 };
-            let lane_hi = if w == last_w {
-                (end - 1) % LANES + 1
-            } else {
-                LANES
-            };
-            let nib = ((1u64 << (lane_hi - lane_lo)) - 1) << lane_lo;
-            let sel = if lane_hi - lane_lo == LANES {
-                !0u64
-            } else {
-                ((1u64 << ((lane_hi - lane_lo) * 16)) - 1) << (lane_lo * 16)
-            };
-            let x = self.fu_counts[base + w];
-            let xs = x & sel;
-            // A selected lane with its MSB set could carry into (or, with
-            // the forced-MSB compare, misreport against) a neighbour; a
-            // subtraction borrowing below zero must clamp per-lane. Both
-            // are vanishingly rare — scalar fallback keeps them exact.
-            let scalar = if delta >= 0 {
-                (xs | xs.wrapping_add(inc_spread & sel)) & LANE_MSB != 0
-            } else {
-                xs & LANE_MSB != 0 || {
-                    // Detect `lane < copies` (a would-be clamp): unselected
-                    // lanes are padded well above any `copies`.
-                    let xcheck = xs | (!sel & (0x7FFFu64).wrapping_mul(LANE_LSB));
-                    lanes_lt(xcheck, inc_spread) != 0
-                }
-            };
-            if scalar {
-                for lane in lane_lo..lane_hi {
-                    self.fu_adjust_row(w as u32 * LANES + lane, copies, cluster, delta);
-                }
-                continue;
-            }
-            let step = inc_spread & sel;
-            let new = if delta >= 0 {
-                x.wrapping_add(step)
-            } else {
-                x.wrapping_sub(step)
-            };
-            self.fu_counts[base + w] = new;
-            free_delta += lane_free_sum(new, sel, cap_spread) as i64
-                - lane_free_sum(x, sel, cap_spread) as i64;
-            // Re-derive the four availability bits of the word and splice
-            // the selected ones into the mask (the word's rows never
-            // straddle a mask word: 4 divides 64).
-            let avail_m = lanes_lt(new, cap_spread);
-            let bits =
-                ((avail_m >> 15) | (avail_m >> 30) | (avail_m >> 45) | (avail_m >> 60)) & 0xF;
-            let mrow = w * LANES as usize;
-            let mw = mask_base + mrow / 64;
-            let off = (mrow % 64) as u32;
-            self.fu_avail[mw] = (self.fu_avail[mw] & !(nib << off)) | ((bits & nib) << off);
-        }
-        let free = &mut self.fu_free[cluster as usize];
-        *free = (*free as i64 + free_delta).max(0) as u32;
     }
 
     /// Single-row count+mask adjustment for the non-FU classes (their
@@ -970,20 +779,6 @@ impl Mrt {
     pub fn storer_in_row(&self, row: u32, cluster: u32) -> u16 {
         self.sp[row as usize * self.caps.clusters as usize + cluster as usize]
     }
-
-    /// Publish a table-occupancy snapshot into the telemetry metrics
-    /// registry under the `mrt.` prefix (no-op on a disabled handle):
-    /// the current II and the total/free FU slots over all clusters.
-    pub fn publish_metrics(&self, telemetry: &hcrf_telemetry::Telemetry) {
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.gauge_set("mrt.ii", self.ii as f64);
-        let free: u32 = (0..self.caps.clusters).map(|c| self.free_fu_slots(c)).sum();
-        let total = self.ii * self.caps.fus_per_cluster * self.caps.clusters;
-        telemetry.gauge_set("mrt.fu_slots_free", free as f64);
-        telemetry.gauge_set("mrt.fu_slots_total", total as f64);
-    }
 }
 
 #[cfg(test)]
@@ -1037,53 +832,6 @@ mod tests {
         assert!(!mrt.can_place(OpKind::FAdd, 0, 0, &lat));
         mrt.remove(OpKind::FAdd, 0, 0, &lat);
         assert!(mrt.can_place(OpKind::FAdd, 0, 0, &lat));
-    }
-
-    /// The word-parallel [`Mrt::fu_adjust_span`] must leave the table
-    /// bit-identical to the split per-row walk it fuses (the store's
-    /// `with_split_row_update` oracle): same packed counts, free-slot
-    /// totals and availability masks after every step, across occupancies
-    /// spanning the pipelined case, multi-row divides and `occ > II`
-    /// multi-copy reservations, IIs around the lane and mask word
-    /// boundaries, and deliberate underflow clamps (removing reservations
-    /// that were never placed forces the scalar fallback).
-    #[test]
-    fn fused_span_matches_per_row_walk() {
-        for cfg in ["4C16S64", "S128", "8C16S16"] {
-            let caps = caps(cfg);
-            for ii in [1u32, 3, 4, 17, 20, 64, 70] {
-                let mut fused = Mrt::new(ii, caps);
-                let mut split = Mrt::new(ii, caps);
-                let mut step = 0u32;
-                for occ in [1u32, 2, 17, 30, 40] {
-                    // Two placements and one removal per (occ, cluster); the
-                    // removal's start usually differs from the placements',
-                    // so clamp paths run too. Both tables see the identical
-                    // sequence, so every intermediate state must match.
-                    for delta in [1i32, 1, -1] {
-                        for cluster in 0..caps.clusters {
-                            let start = (step * 7 + cluster) % ii;
-                            step += 1;
-                            fused.fu_adjust_span(start, occ, cluster, delta);
-                            let span = occ.min(ii);
-                            for k in 0..span {
-                                let row = (start + k) % ii;
-                                let copies = split.fu_copies(occ, k);
-                                split.fu_adjust_row(row, copies, cluster, delta);
-                            }
-                            assert_eq!(
-                                fused, split,
-                                "{cfg} II {ii} occ {occ} start {start} cluster {cluster} \
-                                 delta {delta}: fused span update diverged from the per-row walk"
-                            );
-                            if let Some(err) = fused.check_masks() {
-                                panic!("{cfg} II {ii} occ {occ} delta {delta}: {err}");
-                            }
-                        }
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,6 @@ use crate::cluster::select_cluster_recording;
 use crate::pressure::{
     pick_spill_candidate, pick_spill_candidate_from, pressure, Pressure, PressureQuery,
 };
-use crate::store::{RowEjectOutcome, StoreTuning};
 use crate::types::{BankAssignment, Placement, ScheduleResult, SchedulerParams, SchedulerStats};
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{mii as mii_mod, Ddg, DepKind, NodeId, OpKind, OpLatencies};
@@ -84,11 +83,8 @@ pub struct IterativeScheduler {
     linear_victim: bool,
     linear_slot: bool,
     fresh_arena: bool,
-    per_victim_ejection: bool,
     unit_ladder: bool,
     cold_attempts: bool,
-    eager_refresh: bool,
-    split_row_update: bool,
     telemetry: Telemetry,
 }
 
@@ -184,11 +180,8 @@ impl IterativeScheduler {
             linear_victim: false,
             linear_slot: false,
             fresh_arena: false,
-            per_victim_ejection: false,
             unit_ladder: false,
             cold_attempts: false,
-            eager_refresh: false,
-            split_row_update: false,
             telemetry: Telemetry::disabled(),
         }
     }
@@ -247,16 +240,6 @@ impl IterativeScheduler {
         self
     }
 
-    /// Force a slot by ejecting conflicting occupants one `pick_victim` +
-    /// `eject` transaction at a time instead of the batched
-    /// [`crate::store::PlacementStore::eject_row_occupants`]. Victim choices
-    /// are bit-identical either way (`tests/ladder_equivalence.rs` asserts
-    /// it); this is the oracle the batched transaction is checked against.
-    pub fn with_per_victim_ejection(mut self) -> Self {
-        self.per_victim_ejection = true;
-        self
-    }
-
     /// Climb the II ladder strictly one step at a time, disabling the
     /// budget-aware skipping (and its success-side gap verification). This
     /// is the oracle ladder policy: `tests/ladder_equivalence.rs` asserts
@@ -276,30 +259,6 @@ impl IterativeScheduler {
     /// remap).
     pub fn with_cold_attempts(mut self) -> Self {
         self.cold_attempts = true;
-        self
-    }
-
-    /// Rescan every pressure-refresh request instead of letting the
-    /// tracker's lifetime epochs prove skip-eligible requests up to date in
-    /// O(1). Lifetimes, scheduling decisions and the refresh/skip
-    /// classification counters are bit-identical either way
-    /// (`tests/refresh_equivalence.rs` and the `refresh_skip_matches_eager`
-    /// property test assert it; in debug builds the eager path additionally
-    /// asserts every skipped rescan would have been a no-op). This is the
-    /// oracle the epoch-skip fast path is checked against.
-    pub fn with_eager_refresh(mut self) -> Self {
-        self.eager_refresh = true;
-        self
-    }
-
-    /// Maintain the MRT's FU rows with the split per-row update (one scalar
-    /// count/mask/free-total adjustment per occupied row) instead of the
-    /// fused word-parallel span pass. The resulting MRT state and schedules
-    /// are bit-identical either way (`tests/refresh_equivalence.rs` and the
-    /// in-module MRT tests assert it); this is the oracle the fused row
-    /// maintenance is checked against.
-    pub fn with_split_row_update(mut self) -> Self {
-        self.split_row_update = true;
         self
     }
 
@@ -564,12 +523,6 @@ impl IterativeScheduler {
                 .counter_add("sched.failed_loops", u64::from(result.failed));
             result.stats.publish(&self.telemetry);
             timings.publish(&self.telemetry);
-            if let Some(a) = arena.as_ref() {
-                a.store.mrt().publish_metrics(&self.telemetry);
-                if !self.batch_pressure {
-                    a.store.tracker().publish_metrics(&self.telemetry);
-                }
-            }
         }
         // Hand the arena back for the pool's next loop. Fresh-arena oracle
         // runs never pooled their builds, so they return nothing either.
@@ -601,18 +554,14 @@ impl IterativeScheduler {
         if arena.is_none() || self.fresh_arena {
             let t = Instant::now();
             let t0 = trace.now_ns();
-            let tuning = StoreTuning {
-                track_pressure: !self.batch_pressure,
-                eager_refresh: self.eager_refresh,
-                split_row_update: self.split_row_update,
-            };
+            let track_pressure = !self.batch_pressure;
             // The fresh-arena oracle rebuilds per attempt and must stay a
             // true from-scratch baseline, so it never draws from the pool.
             let (a, rebound) = if self.fresh_arena {
-                (AttemptArena::new(ddg, &self.machine, tuning), false)
+                (AttemptArena::new(ddg, &self.machine, track_pressure), false)
             } else {
                 let before = pool.rebinds();
-                let a = pool.take(ddg, &self.machine, tuning);
+                let a = pool.take(ddg, &self.machine, track_pressure);
                 (a, pool.rebinds() > before)
             };
             *arena = Some(a);
@@ -1214,64 +1163,37 @@ impl IterativeScheduler {
             }
         }
 
-        // Eject the operations holding the resources we need. The default
-        // path batches the whole forced row into one store transaction
-        // (single ranked drain of the conflicting SlotIndex row, deferred
-        // tracker touches and worklist re-insertions); the per-victim loop
-        // below is the decision-identical oracle, also used when the linear
-        // victim scan is selected (the snapshot ranking is the index's).
+        // Eject the operations holding the resources we need, one victim at
+        // a time, until the forced slot is free.
         let mut cascade_ejections = 0u64;
-        if self.per_victim_ejection || self.linear_victim {
-            let mut guard = 0u32;
-            while !state.store.mrt().can_place(kind, force_at, cluster, lat) {
-                guard += 1;
-                if guard > EJECTION_GUARD_LIMIT {
-                    state.stats.guard_trips += 1;
-                    return false;
-                }
-                let victim = if self.linear_victim {
-                    state
-                        .store
-                        .pick_victim_linear(&state.w, u, kind, force_at, cluster, lat)
-                } else {
-                    state
-                        .store
-                        .pick_victim(&state.w, u, kind, force_at, cluster)
-                };
-                let Some(victim) = victim else {
-                    // Nothing ejectable frees the resource (e.g. a divide
-                    // longer than the II); abandon the attempt.
-                    return false;
-                };
-                let ejected = state.store.eject(&mut state.w, victim, lat);
-                state.stats.ejections += ejected;
-                cascade_ejections += ejected;
-                if !state.w.is_active(u) {
-                    // The ejection cascade removed the chain `u` belongs to;
-                    // there is nothing left to place.
-                    return true;
-                }
+        let mut guard = 0u32;
+        while !state.store.mrt().can_place(kind, force_at, cluster, lat) {
+            guard += 1;
+            if guard > EJECTION_GUARD_LIMIT {
+                state.stats.guard_trips += 1;
+                return false;
             }
-        } else {
-            let report = state.store.eject_row_occupants(
-                &mut state.w,
-                u,
-                kind,
-                force_at,
-                cluster,
-                lat,
-                EJECTION_GUARD_LIMIT,
-            );
-            state.stats.ejections += report.ejections;
-            cascade_ejections += report.ejections;
-            match report.outcome {
-                RowEjectOutcome::Freed => {}
-                RowEjectOutcome::GuardTripped => {
-                    state.stats.guard_trips += 1;
-                    return false;
-                }
-                RowEjectOutcome::NoVictim => return false,
-                RowEjectOutcome::OwnerDeactivated => return true,
+            let victim = if self.linear_victim {
+                state
+                    .store
+                    .pick_victim_linear(&state.w, u, kind, force_at, cluster, lat)
+            } else {
+                state
+                    .store
+                    .pick_victim(&state.w, u, kind, force_at, cluster)
+            };
+            let Some(victim) = victim else {
+                // Nothing ejectable frees the resource (e.g. a divide
+                // longer than the II); abandon the attempt.
+                return false;
+            };
+            let ejected = state.store.eject(&mut state.w, victim, lat);
+            state.stats.ejections += ejected;
+            cascade_ejections += ejected;
+            if !state.w.is_active(u) {
+                // The ejection cascade removed the chain `u` belongs to;
+                // there is nothing left to place.
+                return true;
             }
         }
         state.store.place(&state.w, u, force_at, cluster, lat);

@@ -97,7 +97,7 @@ impl SchedulerParams {
 /// `PartialEq` because the batch-pressure oracle never runs the tracker at
 /// all — its results must still compare equal to incremental runs
 /// (`tests/pressure_equivalence.rs`). Every other counter, including
-/// `fused_row_updates` (a mode-independent volume metric), participates.
+/// `fused_row_updates` (a schedule-derived volume metric), participates.
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Number of node scheduling attempts performed (across all IIs).
@@ -145,22 +145,18 @@ pub struct SchedulerStats {
     /// Total placements retained across all warm starts — the nodes that
     /// kept their cycle and cluster through the modulo-remap.
     pub warm_nodes_retained: u64,
-    /// Pressure-tracker refresh requests that actually rescanned the def's
-    /// consumer edges (its lifetime endpoints could have moved). Zero in
-    /// batch-pressure-oracle mode, where the tracker never runs; excluded
-    /// from `PartialEq` for that reason.
+    /// Pressure-tracker refresh requests; every request rescans the def's
+    /// consumer edges. Zero in batch-pressure-oracle mode, where the
+    /// tracker never runs; excluded from `PartialEq` for that reason.
     pub pressure_refreshes: u64,
-    /// Pressure-tracker refresh requests proven up to date by the lifetime
-    /// epoch and skipped in O(1) (identical under the
-    /// [`crate::IterativeScheduler::with_eager_refresh`] oracle, which
-    /// classifies the same but rescans anyway). Zero in batch-pressure
-    /// mode; excluded from `PartialEq`.
+    /// Always 0: every refresh request rescans, so none is skipped. Kept so
+    /// readers of the counter set (the benchmark's per-layer report) keep
+    /// compiling; excluded from `PartialEq`.
     pub refresh_skips: u64,
-    /// MRT rows maintained by place/unplace reservations — the row volume
-    /// the fused word-parallel update collapses into packed-word passes.
-    /// Counted identically in fused and split
-    /// ([`crate::IterativeScheduler::with_split_row_update`]) mode: it
-    /// measures the transaction's row traffic, not which engine moved it.
+    /// MRT rows maintained by place/unplace reservations: each reservation
+    /// moves the row counts, availability bits and slot-index lists of
+    /// `min(occupancy, II)` rows together. It counts rows maintained, not
+    /// how they were maintained.
     pub fused_row_updates: u64,
 }
 
@@ -195,7 +191,6 @@ impl SchedulerStats {
         self.guard_trips += attempt.guard_trips;
         self.infeasible_cutoffs += attempt.infeasible_cutoffs;
         self.pressure_refreshes += attempt.pressure_refreshes;
-        self.refresh_skips += attempt.refresh_skips;
         self.fused_row_updates += attempt.fused_row_updates;
     }
 
@@ -213,7 +208,6 @@ impl SchedulerStats {
         telemetry.counter_add("sched.warm_starts", self.warm_starts as u64);
         telemetry.counter_add("sched.warm_nodes_retained", self.warm_nodes_retained);
         telemetry.counter_add("pressure.refreshes", self.pressure_refreshes);
-        telemetry.counter_add("pressure.refresh_skips", self.refresh_skips);
         telemetry.counter_add("mrt.fused_row_updates", self.fused_row_updates);
     }
 }

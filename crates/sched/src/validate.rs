@@ -308,8 +308,7 @@ mod tests {
         let w = WorkGraph::new(&g, &m);
         let caps = ResourceCaps::from_machine(&m);
         let order = priority_order(&w, &lat, 4);
-        let mut store =
-            PlacementStore::new(4, caps, g.num_nodes(), order, crate::StoreTuning::default());
+        let mut store = PlacementStore::new(4, caps, g.num_nodes(), order, true);
         store.place(&w, NodeId(0), 0, 0, &lat);
         store.place(&w, NodeId(1), 2, 0, &lat);
         assert!(validate_store(&store, &w, &lat).is_ok());

@@ -4,8 +4,8 @@
 
 use hcrf::driver::{run_suite, ConfiguredMachine, RunOptions};
 use hcrf::experiments::{fig1, fig6, hardware, table4, table6};
-use hcrf_sched::validate_schedule;
-use hcrf_workloads::{small_suite, standard_suite, SuiteParams};
+use hcrf_sched::{validate_schedule, IterativeScheduler, SchedulerParams};
+use hcrf_workloads::{churn_suite, small_suite, standard_suite, wide_window_suite, SuiteParams};
 
 fn fast() -> RunOptions {
     RunOptions::fast()
@@ -28,6 +28,47 @@ fn every_kernel_schedules_and_validates_on_every_organization_family() {
                 .unwrap_or_else(|e| panic!("{name} / {}: {e}", l.ddg.name));
         }
     }
+}
+
+/// Every schedule the stress suites produce is valid, on the default warm
+/// ladder and on cold attempts alike: the ejection-churn and wide-window
+/// loops drive the MRT, the slot index and the pressure tracker much harder
+/// than the kernels above, and a loop the scheduler reports as scheduled
+/// must satisfy every dependence, resource and register constraint.
+#[test]
+fn churn_and_wide_schedules_validate_warm_and_cold() {
+    let churn_params = SchedulerParams {
+        max_ii: 256,
+        ..Default::default()
+    };
+    let suites = [
+        ("churn", churn_suite(16), churn_params),
+        ("wide", wide_window_suite(8), SchedulerParams::default()),
+    ];
+    let mut validated = 0usize;
+    for name in ["S128", "4C32S16", "8C16S16", "4C16S64"] {
+        let cfg = ConfiguredMachine::from_name(name).unwrap();
+        for (suite, loops, params) in &suites {
+            let warm = IterativeScheduler::new(cfg.machine.clone(), *params);
+            let cold = IterativeScheduler::new(cfg.machine.clone(), *params).with_cold_attempts();
+            for (ladder, sched) in [("warm", &warm), ("cold", &cold)] {
+                for l in loops {
+                    let r = sched.schedule(&l.ddg);
+                    if r.failed {
+                        continue;
+                    }
+                    validate_schedule(&l.ddg, &cfg.machine, &r).unwrap_or_else(|e| {
+                        panic!("{suite} / {name} / {ladder} / {}: {e}", l.ddg.name)
+                    });
+                    validated += 1;
+                }
+            }
+        }
+    }
+    // 24 loops x 4 configs x 2 ladders = 192 results. Most wide loops stay
+    // unscheduled up to the default max_ii on 4C32S16 and 8C16S16, and a
+    // few churn loops fail cold, so about 150 of them are schedules.
+    assert!(validated >= 140, "only {validated} schedules validated");
 }
 
 #[test]

@@ -9,8 +9,8 @@ use hcrf_sched::mrt::ResourceCaps;
 use hcrf_sched::order::priority_order;
 use hcrf_sched::workgraph::WorkGraph;
 use hcrf_sched::{
-    schedule_loop, validate_schedule, validate_store, AttemptArena, PlacementStore, PressureQuery,
-    PressureTracker, SchedulerParams, StoreTuning,
+    schedule_loop, validate_schedule, validate_store, AttemptArena, PlacementStore,
+    PressureTracker, SchedulerParams,
 };
 use proptest::prelude::*;
 
@@ -166,75 +166,6 @@ proptest! {
         }
     }
 
-    /// The ejection-aware refresh skip never changes what the tracker
-    /// stores or answers: a skip-mode tracker and an eager-oracle tracker
-    /// (`set_eager_refresh(true)`, which pays every rescan the fast path
-    /// proves unnecessary) driven through the identical random place/eject
-    /// sequence agree on every bank query and on the batch-oracle diff
-    /// after every step, and classify the identical refresh-request stream
-    /// into the same refresh/skip counts. The eager tracker additionally
-    /// self-checks in debug builds: a rescan on an epoch-clean node that
-    /// changes anything panics inside `refresh_maybe`.
-    #[test]
-    fn refresh_skip_matches_eager(
-        ddg in arb_loop(14),
-        ops in prop::collection::vec((any::<u16>(), 0u32..4, 0i64..48), 4..48),
-        hier in any::<bool>(),
-        ii in 1u32..9,
-    ) {
-        let lat = OpLatencies::paper_baseline();
-        let cfg = if hier { "4C16S64" } else { "S64" };
-        let machine = MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap());
-        let clusters = machine.clusters();
-        let mut w = WorkGraph::new(&ddg, &machine);
-        let mut placements: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
-        let mut fast = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        let mut eager = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        eager.set_eager_refresh(true);
-        // The hierarchical preprocessing rewires edges before the trackers
-        // exist; drain the dirty set once into both, like the scheduler's
-        // sync does.
-        for n in w.take_pressure_dirty() {
-            fast.refresh(&w, &placements, n);
-            eager.refresh(&w, &placements, n);
-        }
-        let nodes: Vec<_> = w.active_nodes().collect();
-        for (step, (sel, cluster, cycle)) in ops.into_iter().enumerate() {
-            let n = nodes[sel as usize % nodes.len()];
-            if placements[n.index()].is_some() {
-                placements[n.index()] = None; // eject
-            } else {
-                placements[n.index()] = Some((cycle, cluster % clusters)); // place
-            }
-            fast.touch(&w, &placements, n);
-            eager.touch(&w, &placements, n);
-            for c in 0..clusters {
-                prop_assert_eq!(
-                    fast.cluster_live(c), eager.cluster_live(c),
-                    "{} II={} step {}: cluster {} MaxLive diverged", cfg, ii, step, c
-                );
-            }
-            prop_assert_eq!(
-                fast.shared_live(), eager.shared_live(),
-                "{} II={} step {}: shared MaxLive diverged", cfg, ii, step
-            );
-            if let Some(diff) = fast.diff_from_batch(&w, &placements, &lat) {
-                return Err(TestCaseError::fail(format!("{cfg} II={ii} skip-mode: {diff}")));
-            }
-            if let Some(diff) = eager.diff_from_batch(&w, &placements, &lat) {
-                return Err(TestCaseError::fail(format!("{cfg} II={ii} eager: {diff}")));
-            }
-        }
-        // Both modes saw the identical request stream, so the
-        // refresh/skip classification must match exactly (the eager
-        // oracle still *performs* the skipped rescans, it just counts
-        // them as skips).
-        prop_assert_eq!(
-            fast.take_refresh_counters(), eager.take_refresh_counters(),
-            "{} II={}: refresh/skip classification diverged between modes", cfg, ii
-        );
-    }
-
     /// On randomized place/eject sequences driven through the
     /// `PlacementStore`, the `SlotIndex` membership always equals a
     /// from-scratch scan of the placements (and the MRT equals a replayed
@@ -255,7 +186,7 @@ proptest! {
         let mut w = WorkGraph::new(&ddg, &machine);
         let caps = ResourceCaps::from_machine(&machine);
         let order = priority_order(&w, &lat, ii);
-        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, StoreTuning::default());
+        let mut store = PlacementStore::new(ii, caps, w.ddg.num_nodes(), order, true);
         store.sync_pressure(&mut w);
         let nodes: Vec<_> = w.active_nodes().collect();
         let probe_kinds = [OpKind::FAdd, OpKind::FDiv, OpKind::Load, OpKind::LoadR, OpKind::StoreR];
@@ -360,7 +291,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&ddg, machine, true);
         let pristine_nodes = arena.workgraph().ddg.num_nodes();
         let pristine_edges = arena.workgraph().ddg.num_edges();
         for ii in iis {
@@ -438,7 +369,7 @@ proptest! {
     ) {
         let lat = OpLatencies::paper_baseline();
         let machine = &machines()[which];
-        let mut arena = AttemptArena::new(&ddg, machine, StoreTuning::default());
+        let mut arena = AttemptArena::new(&ddg, machine, true);
         arena.reset(ii0, &lat);
         let (w, store) = arena.parts_mut();
         let nodes: Vec<_> = w.active_nodes().collect();
