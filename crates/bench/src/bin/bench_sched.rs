@@ -550,7 +550,15 @@ fn main() {
 
     if let Some(path) = args.trace_path.as_ref() {
         match telemetry.write_chrome_trace(path) {
-            Ok(events) => println!("trace: {events} events -> {}", path.display()),
+            Ok(events) => {
+                println!("trace: {events} events -> {}", path.display());
+                let dropped = telemetry.dropped_events();
+                if dropped > 0 {
+                    eprintln!(
+                        "bench_sched: warning: the trace ring overflowed and dropped {dropped} events; the trace is incomplete"
+                    );
+                }
+            }
             Err(e) => eprintln!("bench_sched: failed to write trace {}: {e}", path.display()),
         }
     }

@@ -370,7 +370,15 @@ fn main() {
     write_report(&args.csv_path, report.to_csv(), "CSV");
     if let Some(path) = args.trace_path.as_ref() {
         match telemetry.write_chrome_trace(path) {
-            Ok(events) => println!("trace: {events} events -> {}", path.display()),
+            Ok(events) => {
+                println!("trace: {events} events -> {}", path.display());
+                let dropped = telemetry.dropped_events();
+                if dropped > 0 {
+                    eprintln!(
+                        "explore: warning: the trace ring overflowed and dropped {dropped} events; the trace is incomplete"
+                    );
+                }
+            }
             Err(e) => eprintln!("explore: failed to write trace {}: {e}", path.display()),
         }
     }

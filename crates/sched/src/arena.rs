@@ -35,7 +35,7 @@ use crate::order::{priority_order_into, OrderScratch, PriorityOrder};
 use crate::store::PlacementStore;
 use crate::types::SchedulerStats;
 use crate::workgraph::WorkGraph;
-use hcrf_ir::{Ddg, EdgeId, NodeId, OpLatencies};
+use hcrf_ir::{Ddg, NodeId, OpLatencies};
 use hcrf_machine::MachineConfig;
 use hcrf_telemetry::TraceBuf;
 use std::time::{Duration, Instant};
@@ -83,10 +83,6 @@ pub struct AttemptArena {
     /// Scratch for the lstart walk: each placed successor with the latest
     /// cycle its dependence allows.
     pub(crate) succ_bounds: Vec<(NodeId, i64)>,
-    /// Scratch for `select_cluster_recording`: edges between the popped node
-    /// and placed neighbours that could need communication for some cluster
-    /// choice, reused by the communication-insertion scan.
-    pub(crate) comm_cands: Vec<(EdgeId, u32)>,
     /// Scratch for the nodes of one inserted communication/spill chain,
     /// reused across every insertion of the attempt.
     pub(crate) chain_nodes: Vec<NodeId>,
@@ -127,7 +123,6 @@ impl AttemptArena {
             violators: Vec::new(),
             pred_bounds: Vec::new(),
             succ_bounds: Vec::new(),
-            comm_cands: Vec::new(),
             chain_nodes: Vec::new(),
             trace: TraceBuf::default(),
         }
@@ -158,7 +153,6 @@ impl AttemptArena {
         self.violators.clear();
         self.pred_bounds.clear();
         self.succ_bounds.clear();
-        self.comm_cands.clear();
         self.chain_nodes.clear();
         self.trace = TraceBuf::default();
     }
@@ -172,6 +166,19 @@ impl AttemptArena {
     /// Returns the time spent recomputing the order (zero when skipped), so
     /// callers can split reset cost from ordering cost in phase timings.
     pub fn reset(&mut self, ii: u32, lat: &OpLatencies) -> Duration {
+        let order_time = self.restore_pristine(ii, lat);
+        for n in self.w.active_nodes() {
+            self.store.requeue(n);
+        }
+        order_time
+    }
+
+    /// The part of every reset shared by the cold and warm flavours:
+    /// restore the pristine graph, clear-and-reshape the store for `ii`,
+    /// recompute the priority order when it may have changed and zero the
+    /// per-attempt fields. Leaves the worklist empty; returns the time spent
+    /// recomputing the order.
+    fn restore_pristine(&mut self, ii: u32, lat: &OpLatencies) -> Duration {
         let ii = ii.max(1);
         self.w.reset_to_pristine();
         self.store.reset_for_ii(ii, self.pristine_nodes);
@@ -189,9 +196,6 @@ impl AttemptArena {
         } else {
             Duration::ZERO
         };
-        for n in self.w.active_nodes() {
-            self.store.requeue(n);
-        }
         self.ii = ii;
         self.budget = 0;
         self.stats = SchedulerStats::default();
@@ -227,23 +231,7 @@ impl AttemptArena {
         snapshot: &[(NodeId, i64, u32)],
         binding_prefetch: bool,
     ) -> WarmReset {
-        let ii = ii.max(1);
-        self.w.reset_to_pristine();
-        self.store.reset_for_ii(ii, self.pristine_nodes);
-        let order_time = if self.order_ii_sensitive || !self.order_ready {
-            let t = Instant::now();
-            priority_order_into(
-                &self.w,
-                lat,
-                ii,
-                self.store.order_mut(),
-                &mut self.order_scratch,
-            );
-            self.order_ready = true;
-            t.elapsed()
-        } else {
-            Duration::ZERO
-        };
+        let order_time = self.restore_pristine(ii, lat);
         let t = Instant::now();
         let retained = self
             .store
@@ -254,12 +242,9 @@ impl AttemptArena {
             }
         }
         let remap_time = t.elapsed();
-        self.ii = ii;
-        self.budget = 0;
-        self.stats = SchedulerStats::default();
         #[cfg(debug_assertions)]
         if let Some(err) = self.store.check_consistency(&self.w, lat) {
-            panic!("warm remap corrupted the store at II {ii}: {err}");
+            panic!("warm remap corrupted the store at II {}: {err}", self.ii);
         }
         WarmReset {
             order_time,
@@ -433,7 +418,8 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.kind == DepKind::Flow)
             .map(|(id, e)| (id, *e))
             .expect("flow edge");
-        let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
         store.grow(w.ddg.num_nodes());
         assert!(store.placements().len() > pristine_nodes);
         for (k, n) in new_nodes.iter().enumerate() {
@@ -484,7 +470,8 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.kind == DepKind::Flow)
             .map(|(id, e)| (id, *e))
             .expect("flow edge");
-        let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
         store.grow(w.ddg.num_nodes());
         for (k, n) in new_nodes.iter().enumerate() {
             store.place(w, *n, k as i64, 0, &lat());

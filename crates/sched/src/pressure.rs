@@ -9,11 +9,10 @@
 //! register in every bank where they are consumed for the whole execution of
 //! the loop.
 
-use crate::types::{BankAssignment, Placement};
+use crate::types::BankAssignment;
 use crate::workgraph::WorkGraph;
 use hcrf_ir::{DepKind, NodeId, OpLatencies};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Lifetime of one value in one bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,21 +222,6 @@ pub fn pressure<P: PlacementView + ?Sized>(
     }
 }
 
-/// Pressure computed from final placements (no `Option`s).
-pub fn pressure_final(
-    w: &WorkGraph,
-    placements: &HashMap<NodeId, Placement>,
-    ii: u32,
-    clusters: u32,
-    lat: &OpLatencies,
-) -> Pressure {
-    let mut partial: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
-    for (n, p) in placements {
-        partial[n.index()] = Some((p.cycle as i64, p.cluster));
-    }
-    pressure(w, &partial, ii, clusters, lat, false)
-}
-
 /// Incremental register-pressure engine.
 ///
 /// Maintains exactly the state the batch [`pressure`] function derives from
@@ -377,70 +361,52 @@ impl PressureTracker {
     /// of `last_consumer` must be reproduced); an *ejection* of `node`
     /// leaves every producer whose recorded `last_consumer` is a different
     /// node untouched — removing a non-final consumer cannot move the end.
+    /// The producers left to rescan are deduplicated first, so a def feeding
+    /// `node` through several edges is re-derived once.
     pub fn touch<P: PlacementView + ?Sized>(
         &mut self,
         w: &WorkGraph,
         placements: &P,
         node: NodeId,
     ) {
-        self.touch_all(w, placements, std::slice::from_ref(&node));
-    }
-
-    /// [`PressureTracker::touch`] over a whole ejection batch: the producer
-    /// rescans every member demands are collected across the batch and
-    /// deduplicated before running, so a def feeding several victims is
-    /// re-derived once instead of once per victim. Refreshing is idempotent
-    /// and depends only on the current graph and placements, so the deferred,
-    /// id-ordered rescans converge to the exact tracker state the per-victim
-    /// rescans reach.
-    pub fn touch_all<P: PlacementView + ?Sized>(
-        &mut self,
-        w: &WorkGraph,
-        placements: &P,
-        nodes: &[NodeId],
-    ) {
         let mut preds = std::mem::take(&mut self.scratch);
         preds.clear();
-        for &node in nodes {
-            self.refresh(w, placements, node);
-            let placed = placements.placement_of(node);
-            for (_, e) in w
-                .active_pred_edges(node)
-                .filter(|(_, e)| e.kind == DepKind::Flow && e.src != node)
-            {
-                let p = e.src;
-                match (placed, self.lifetimes[p.index()]) {
-                    (Some((use_cycle, _)), Some(lt)) => {
-                        let read = use_cycle + (self.ii as i64) * e.distance as i64;
-                        if read + 1 > lt.end {
-                            // The new consumer strictly extends the lifetime:
-                            // a rescan would find `node` as the unique
-                            // maximum.
-                            let new_lt = ValueLifetime {
-                                end: read + 1,
-                                last_consumer: Some(node),
-                                ..lt
-                            };
-                            self.delta_apply(Some(&lt), Some(&new_lt));
-                            self.lifetimes[p.index()] = Some(new_lt);
-                        } else if read + 1 == lt.end {
-                            // Tie with the current end: `last_consumer`
-                            // follows edge order, which only the rescan
-                            // knows.
-                            preds.push(p);
-                        }
+        self.refresh(w, placements, node);
+        let placed = placements.placement_of(node);
+        for (_, e) in w
+            .active_pred_edges(node)
+            .filter(|(_, e)| e.kind == DepKind::Flow && e.src != node)
+        {
+            let p = e.src;
+            match (placed, self.lifetimes[p.index()]) {
+                (Some((use_cycle, _)), Some(lt)) => {
+                    let read = use_cycle + (self.ii as i64) * e.distance as i64;
+                    if read + 1 > lt.end {
+                        // The new consumer strictly extends the lifetime: a
+                        // rescan would find `node` as the unique maximum.
+                        let new_lt = ValueLifetime {
+                            end: read + 1,
+                            last_consumer: Some(node),
+                            ..lt
+                        };
+                        self.delta_apply(Some(&lt), Some(&new_lt));
+                        self.lifetimes[p.index()] = Some(new_lt);
+                    } else if read + 1 == lt.end {
+                        // Tie with the current end: `last_consumer` follows
+                        // edge order, which only the rescan knows.
+                        preds.push(p);
                     }
-                    (None, Some(lt)) => {
-                        if lt.last_consumer == Some(node) {
-                            preds.push(p);
-                        }
-                        // Ejecting a non-final consumer cannot move the end.
-                    }
-                    // No stored lifetime (the producer is unplaced, inactive
-                    // or defines no value): the rescan below derives
-                    // whatever contribution it has now.
-                    _ => preds.push(p),
                 }
+                (None, Some(lt)) => {
+                    if lt.last_consumer == Some(node) {
+                        preds.push(p);
+                    }
+                    // Ejecting a non-final consumer cannot move the end.
+                }
+                // No stored lifetime (the producer is unplaced, inactive or
+                // defines no value): the rescan below derives whatever
+                // contribution it has now.
+                _ => preds.push(p),
             }
         }
         preds.sort_unstable_by_key(|n| n.index());
@@ -956,7 +922,9 @@ mod tests {
         let clusters = 4;
         let mut place: Vec<Option<(i64, u32)>> = vec![None; w.ddg.num_nodes()];
         let mut tracker = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for &n in &dirty {
             tracker.refresh(&w, &place, n);
         }
         let nodes: Vec<NodeId> = w.active_nodes().collect();
@@ -991,10 +959,13 @@ mod tests {
         place[c.index()] = Some((9, 1));
         tracker.touch(&w, &place, c);
         let edge_id = w.ddg.edges().next().map(|(id, _)| id).unwrap();
-        let new_nodes = w.insert_communication(c, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_communication_into(c, edge_id, &mut new_nodes);
         place.resize(w.ddg.num_nodes(), None);
         tracker.grow(w.ddg.num_nodes());
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for &n in &dirty {
             tracker.refresh(&w, &place, n);
         }
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
@@ -1003,11 +974,18 @@ mod tests {
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);
         // Undo the chain; the producer's lifetime must stretch to the
         // consumer again.
-        for r in w.remove_chains_for(c) {
+        let mut chains = Vec::new();
+        w.chains_to_remove_into(c, &mut chains);
+        let mut removed = Vec::new();
+        for &chain in &chains {
+            w.remove_chain_into(chain, &mut removed);
+        }
+        for &r in &removed {
             place[r.index()] = None;
             tracker.touch(&w, &place, r);
         }
-        for n in w.take_pressure_dirty() {
+        w.swap_pressure_dirty(&mut dirty);
+        for &n in &dirty {
             tracker.refresh(&w, &place, n);
         }
         assert_eq!(tracker.diff_from_batch(&w, &place, &lat()), None);

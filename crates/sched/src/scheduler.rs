@@ -29,7 +29,7 @@
 //! [`SchedulerStats::infeasible_cutoffs`].
 
 use crate::arena::{ArenaPool, AttemptArena};
-use crate::cluster::select_cluster_recording;
+use crate::cluster::select_cluster;
 use crate::pressure::{
     pick_spill_candidate, pick_spill_candidate_from, pressure, Pressure, PressureQuery,
 };
@@ -708,43 +708,21 @@ impl IterativeScheduler {
                     budget_limited: false,
                 };
             }
-            // 1. Cluster selection. The recording variant notes every edge
-            // that could need communication in the same walk that scores the
-            // clusters, so step 2 does not have to re-walk the neighbourhood.
-            let mut comm_cands = std::mem::take(&mut state.comm_cands);
-            let (choice, cands_complete) = if self.batch_pressure {
-                // Oracle mode never consults the tracker; the store discards
-                // the dirty set so it cannot grow for the whole attempt.
-                state.store.sync_pressure(&mut state.w);
-                let pr = self.current_pressure(state, lat);
-                select_cluster_recording(
-                    u,
-                    &state.w,
-                    state.store.mrt(),
-                    state.store.placements(),
-                    &pr,
-                    &mut comm_cands,
-                )
+            // 1. Cluster selection, scored against the incremental tracker
+            // (or, in oracle mode, a batch recompute: the store then discards
+            // the dirty set so it cannot grow for the whole attempt).
+            state.store.sync_pressure(&mut state.w);
+            let batch;
+            let pr: &dyn PressureQuery = if self.batch_pressure {
+                batch = self.current_pressure(state, lat);
+                &batch
             } else {
-                state.store.sync_pressure(&mut state.w);
-                select_cluster_recording(
-                    u,
-                    &state.w,
-                    state.store.mrt(),
-                    state.store.placements(),
-                    state.store.tracker(),
-                    &mut comm_cands,
-                )
+                state.store.tracker()
             };
-            state.comm_cands = comm_cands;
+            let choice =
+                select_cluster(u, &state.w, state.store.mrt(), state.store.placements(), pr);
             // 2. Communication with already placed neighbours.
-            if !self.insert_and_schedule_communication(
-                state,
-                u,
-                choice.cluster,
-                lat,
-                cands_complete,
-            ) {
+            if !self.insert_and_schedule_communication(state, u, choice.cluster, lat) {
                 return AttemptOutcome::Exhausted {
                     budget_limited: false,
                 };
@@ -860,56 +838,41 @@ impl IterativeScheduler {
     /// `u` to talk to its already placed neighbours from cluster `cluster`.
     /// Returns `false` when the attempt must be abandoned (baseline scheduler
     /// finding no slot, or budget pathologies).
-    ///
-    /// When `cands_complete` is set, the first scan filters the edges
-    /// `select_cluster_recording` noted in the same worklist pop (nothing
-    /// mutates in between, so the recording equals what a full walk would
-    /// find). Later iterations always re-walk: scheduling a chain's nodes
-    /// can eject neighbours and remove other chains, which reactivates
-    /// replaced edges the recording has never seen.
     fn insert_and_schedule_communication(
         &self,
         state: &mut AttemptArena,
         u: NodeId,
         cluster: u32,
         lat: &OpLatencies,
-        cands_complete: bool,
     ) -> bool {
-        let mut first_scan = true;
+        if !state.w.is_hierarchical() && !state.w.is_clustered_only() {
+            // A monolithic register file never communicates.
+            return true;
+        }
         loop {
             // Find one active edge between u and a placed neighbour that needs
             // communication; insert a chain for it; repeat until none remain.
+            // Every iteration re-walks: scheduling a chain's nodes can eject
+            // neighbours and remove other chains, reactivating replaced edges.
             let mut candidate = None;
-            if first_scan && cands_complete {
-                // Nothing mutated since the recording (same worklist pop),
-                // so "needs communication from `cluster`" is exactly "the
-                // recorded communication-free cluster is not `cluster`".
-                candidate = state
-                    .comm_cands
-                    .iter()
-                    .find(|&&(_, free_cluster)| free_cluster != cluster)
-                    .map(|&(id, _)| id);
-            } else {
-                for (id, e) in state.w.active_pred_edges(u) {
-                    if let Some((_, pc)) = state.store.placement(e.src) {
-                        if state.w.needs_communication(e, pc, cluster) {
+            for (id, e) in state.w.active_pred_edges(u) {
+                if let Some((_, pc)) = state.store.placement(e.src) {
+                    if state.w.needs_communication(e, pc, cluster) {
+                        candidate = Some(id);
+                        break;
+                    }
+                }
+            }
+            if candidate.is_none() {
+                for (id, e) in state.w.active_succ_edges(u) {
+                    if let Some((_, sc)) = state.store.placement(e.dst) {
+                        if state.w.needs_communication(e, cluster, sc) {
                             candidate = Some(id);
                             break;
                         }
                     }
                 }
-                if candidate.is_none() {
-                    for (id, e) in state.w.active_succ_edges(u) {
-                        if let Some((_, sc)) = state.store.placement(e.dst) {
-                            if state.w.needs_communication(e, cluster, sc) {
-                                candidate = Some(id);
-                                break;
-                            }
-                        }
-                    }
-                }
             }
-            first_scan = false;
             let Some(edge_id) = candidate else {
                 return true;
             };

@@ -436,17 +436,6 @@ pub struct PlacementStore {
     fused_rows: u64,
     order: PriorityOrder,
     worklist: RankQueue,
-    /// `true` while [`PlacementStore::eject_violators`] runs: tracker
-    /// touches and worklist requeues are deferred into the two buffers below
-    /// and flushed once at the end of the batch.
-    batch_active: bool,
-    /// Nodes `unplace` ran on during the batch, in ejection order; each gets
-    /// its (idempotent) tracker touch at flush time, so a producer feeding
-    /// several batch victims is not rescanned once per victim.
-    batch_touched: Vec<NodeId>,
-    /// Worklist re-insertions deferred by the batch (heap order is
-    /// irrelevant: pops follow the total `(rank, id)` order).
-    batch_requeue: Vec<NodeId>,
     /// Scratch for the chain ids removed by one ejection (reused; the
     /// collect-then-remove two-phase is required because removal mutates the
     /// index being enumerated).
@@ -485,9 +474,6 @@ impl PlacementStore {
             worklist: RankQueue::default(),
             chain_ids_scratch: Vec::new(),
             chain_members_scratch: Vec::new(),
-            batch_active: false,
-            batch_touched: Vec::new(),
-            batch_requeue: Vec::new(),
             dirty_scratch: Vec::new(),
             warm_scratch: Vec::new(),
         }
@@ -512,9 +498,6 @@ impl PlacementStore {
         self.tracker.reset_for_ii(ii, num_nodes);
         self.fused_rows = 0;
         self.worklist.clear();
-        debug_assert!(!self.batch_active);
-        self.batch_touched.clear();
-        self.batch_requeue.clear();
     }
 
     /// Re-target the store at a new machine's capacities (and pressure mode) and
@@ -534,9 +517,6 @@ impl PlacementStore {
         self.track_pressure = track_pressure;
         self.fused_rows = 0;
         self.worklist.clear();
-        debug_assert!(!self.batch_active);
-        self.batch_touched.clear();
-        self.batch_requeue.clear();
     }
 
     /// Mutable access to the priority order, for the attempt arena's
@@ -605,14 +585,8 @@ impl PlacementStore {
         self.hot[n.index()].prev_cycle()
     }
 
-    /// Push a node (back) onto the worklist at its priority rank. During a
-    /// batched violator ejection the push is deferred (heap insertion order never
-    /// affects pops: they follow the total `(rank, id)` order).
+    /// Push a node (back) onto the worklist at its priority rank.
     pub fn requeue(&mut self, n: NodeId) {
-        if self.batch_active {
-            self.batch_requeue.push(n);
-            return;
-        }
         match self.order.rank_of(n) {
             usize::MAX => self.worklist.push_unranked(n.index()),
             rank => self.worklist.push_ranked(rank),
@@ -731,16 +705,6 @@ impl PlacementStore {
             self.hot[n.index()].flags &= !NodeHot::PLACED;
         }
         if self.track_pressure {
-            if self.batch_active {
-                // Deferred to the batch flush: touching is idempotent and
-                // placements only disappear during a batch, so one touch per
-                // node at the end converges to the same tracker state the
-                // interleaved touches reach (the flush walks the nodes in
-                // ejection order; a producer whose recorded last consumer
-                // was ejected is rescanned by that consumer's touch).
-                self.batch_touched.push(n);
-                return;
-            }
             // Refresh even when the node was unplaced: chain removal
             // deactivates nodes, which perturbs lifetimes on its own.
             self.tracker.touch(w, self.hot.as_slice(), n);
@@ -790,7 +754,7 @@ impl PlacementStore {
     }
 
     /// Deactivate one chain in the graph and unplace every member — the
-    /// chain-removal notification from [`WorkGraph::remove_chain`] flows
+    /// chain-removal notification from [`WorkGraph::remove_chain_into`] flows
     /// through the store so no mutation path can forget the MRT, index or
     /// tracker updates.
     pub fn remove_chain_members(&mut self, w: &mut WorkGraph, chain: usize, lat: &OpLatencies) {
@@ -863,14 +827,9 @@ impl PlacementStore {
         self.best_victim(w, u, candidates)
     }
 
-    /// Eject a list of dependence violators as one batched transaction:
-    /// pressure-tracker touches and worklist re-insertions are deferred to a
-    /// single flush (touches are idempotent and converge to the tracker
-    /// state the per-ejection touches reach; the worklist pops in total
-    /// `(rank, id)` order, so insertion order never matters). A producer
-    /// feeding several violators is rescanned once instead of once per
-    /// ejection. `skip` is the just-forced node itself, which must keep its
-    /// slot.
+    /// Eject the dependence violators of a forced placement, one
+    /// [`PlacementStore::eject`] per victim. `skip` is the just-forced node
+    /// itself, which must keep its slot. Returns the number of ejections.
     pub fn eject_violators(
         &mut self,
         w: &mut WorkGraph,
@@ -878,33 +837,13 @@ impl PlacementStore {
         skip: NodeId,
         lat: &OpLatencies,
     ) -> u64 {
-        debug_assert!(!self.batch_active);
-        self.batch_active = true;
         let mut count = 0u64;
         for &v in victims {
             if v != skip {
                 count += self.eject(w, v, lat);
             }
         }
-        self.flush_batch(w);
         count
-    }
-
-    /// Apply the deferred tracker touches and worklist insertions of a
-    /// batched violator ejection.
-    fn flush_batch(&mut self, w: &WorkGraph) {
-        self.batch_active = false;
-        self.tracker
-            .touch_all(w, self.hot.as_slice(), &self.batch_touched);
-        self.batch_touched.clear();
-        for i in 0..self.batch_requeue.len() {
-            let n = self.batch_requeue[i];
-            match self.order.rank_of(n) {
-                usize::MAX => self.worklist.push_unranked(n.index()),
-                rank => self.worklist.push_ranked(rank),
-            }
-        }
-        self.batch_requeue.clear();
     }
 
     /// Shared victim ranking: max over `(is_original, rank, lowest id)`.

@@ -83,7 +83,7 @@ pub struct WorkGraph {
     /// check the chain's `active` flag.
     chain_of_node: Vec<Option<u32>>,
     /// Per node, the removable chains whose owner it is or whose replaced
-    /// edges touch it — the set [`WorkGraph::chains_to_remove_for`] must
+    /// edges touch it — the set [`WorkGraph::chains_to_remove_into`] must
     /// enumerate. Indexed at insertion so the ejection path pays O(chains
     /// touching the node) instead of scanning every chain ever inserted
     /// (ejection storms query this hundreds of thousands of times per
@@ -638,13 +638,6 @@ impl WorkGraph {
         Self::attach(&mut self.pred_active_edges[edge.dst.index()], e);
     }
 
-    /// Drain the defs whose lifetimes an edge rewiring may have perturbed
-    /// since the last drain. The scheduler refreshes each in its pressure
-    /// tracker; refreshing is idempotent, so duplicates are harmless.
-    pub fn take_pressure_dirty(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.pressure_dirty)
-    }
-
     /// Whether any defs are waiting in the pressure-dirty set. The store's
     /// per-pop sync probes this before paying for the buffer swap: most
     /// worklist pops follow no chain rewiring at all.
@@ -653,11 +646,12 @@ impl WorkGraph {
         !self.pressure_dirty.is_empty()
     }
 
-    /// [`WorkGraph::take_pressure_dirty`] without giving up either
-    /// allocation: the dirty set is swapped into `buf` (cleared first) and
-    /// the graph keeps `buf`'s old backing storage for the next rewiring.
-    /// The store's per-pop pressure sync uses this so draining an empty or
-    /// small dirty set never reallocates on either side.
+    /// Drain the defs whose lifetimes an edge rewiring may have perturbed
+    /// since the last drain into `buf` (cleared first); the graph keeps
+    /// `buf`'s old backing storage for the next rewiring, so draining never
+    /// reallocates on either side. The store refreshes each drained def in
+    /// its pressure tracker; refreshing is idempotent, so duplicates are
+    /// harmless.
     pub fn swap_pressure_dirty(&mut self, buf: &mut Vec<NodeId>) {
         buf.clear();
         std::mem::swap(&mut self.pressure_dirty, buf);
@@ -763,23 +757,14 @@ impl WorkGraph {
     }
 
     /// Insert inter-cluster communication for `edge` (a flow dependence whose
-    /// producer and consumer live in different clusters). Returns the newly
-    /// inserted nodes that must be scheduled, in dependence order.
+    /// producer and consumer live in different clusters). Appends the newly
+    /// inserted nodes that must be scheduled to `out`, in dependence order.
     ///
     /// `owner` is the node currently being scheduled (ejecting it undoes the
     /// chain). For hierarchical organizations the chain is StoreR (producer
     /// cluster) + LoadR (consumer cluster) — or just a LoadR when the value
     /// already lives in the shared bank. For clustered organizations the
     /// chain is a single bus `Move`.
-    pub fn insert_communication(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_communication_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_communication`] appending the new nodes to `out`
-    /// instead of returning a fresh vector — the scheduler's hot path reuses
-    /// one scratch buffer across every insertion of an attempt.
     pub fn insert_communication_into(
         &mut self,
         owner: NodeId,
@@ -893,15 +878,8 @@ impl WorkGraph {
 
     /// Insert a spill of the value defined by `def` towards the shared bank:
     /// the consumer reached through `edge_id` will re-load the value with a
-    /// LoadR instead of keeping it live in the cluster bank.
-    pub fn insert_spill_to_shared(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_spill_to_shared_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_spill_to_shared`] appending the new nodes to
-    /// `out` (scratch-buffer variant for the scheduler's hot path).
+    /// LoadR instead of keeping it live in the cluster bank. Appends the new
+    /// nodes to `out`.
     pub fn insert_spill_to_shared_into(
         &mut self,
         owner: NodeId,
@@ -949,15 +927,8 @@ impl WorkGraph {
     /// Insert a spill of the value defined by `def` to memory: a store after
     /// the definition and a reload before the consumer reached through
     /// `edge_id`. This is the spill used by monolithic and clustered
-    /// organizations, and by the shared bank when it overflows.
-    pub fn insert_spill_to_memory(&mut self, owner: NodeId, edge_id: EdgeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.insert_spill_to_memory_into(owner, edge_id, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::insert_spill_to_memory`] appending the new nodes to
-    /// `out` (scratch-buffer variant for the scheduler's hot path).
+    /// organizations, and by the shared bank when it overflows. Appends the
+    /// store and the reload to `out`.
     pub fn insert_spill_to_memory_into(
         &mut self,
         owner: NodeId,
@@ -1012,29 +983,11 @@ impl WorkGraph {
         self.push_chain(ch);
     }
 
-    /// Remove every removable chain owned by `node` or whose replaced edge
-    /// touches `node`, reactivating the original edges. Returns the nodes
-    /// that were deactivated (the scheduler must unplace them first — see
-    /// [`WorkGraph::chains_to_remove_for`]).
-    pub fn remove_chains_for(&mut self, node: NodeId) -> Vec<NodeId> {
-        let ids = self.chains_to_remove_for(node);
-        let mut removed = Vec::new();
-        for id in ids {
-            removed.extend(self.remove_chain(id));
-        }
-        removed
-    }
-
-    /// Chains that would be removed when `node` is ejected, in ascending
-    /// chain order. Served from the per-node index built at insertion (the
-    /// full chain scan this replaced dominated ejection storms).
-    pub fn chains_to_remove_for(&self, node: NodeId) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.chains_to_remove_into(node, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::chains_to_remove_for`] appending into a caller scratch.
+    /// Append to `out` the chains that would be removed when `node` is
+    /// ejected — the removable chains owned by `node` or whose replaced edge
+    /// touches it — in ascending chain order. Served from the per-node index
+    /// built at insertion (the full chain scan this replaced dominated
+    /// ejection storms).
     pub fn chains_to_remove_into(&self, node: NodeId, out: &mut Vec<usize>) {
         out.extend(
             self.chains_touching[node.index()]
@@ -1067,15 +1020,8 @@ impl WorkGraph {
         self.chains[chain].kind
     }
 
-    /// Deactivate one chain, reactivating the edge it replaced.
-    pub fn remove_chain(&mut self, chain: usize) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        self.remove_chain_into(chain, &mut out);
-        out
-    }
-
-    /// [`WorkGraph::remove_chain`] appending the deactivated nodes to `out`.
-    /// The chain's member lists are moved aside for the duration of the walk
+    /// Deactivate one chain, reactivating the edge it replaced, and append
+    /// the deactivated nodes to `out`. The chain's member lists are moved aside for the duration of the walk
     /// and restored afterwards (no clones), so the insert/remove cycle of an
     /// ejection storm never allocates.
     pub fn remove_chain_into(&mut self, chain: usize, out: &mut Vec<NodeId>) {
@@ -1092,7 +1038,7 @@ impl WorkGraph {
         let touched = std::mem::take(&mut c.touched);
         // Unindex the (now permanently dead) chain from the nodes it
         // touched; the lists hold ascending chain ids, so the removal keeps
-        // `chains_to_remove_for`'s ascending enumeration intact.
+        // `chains_to_remove_into`'s ascending enumeration intact.
         let id = chain as u32;
         for t in &touched {
             let list = &mut self.chains_touching[t.index()];
@@ -1176,6 +1122,18 @@ mod tests {
         MachineConfig::paper_baseline(RfOrganization::parse(cfg).unwrap())
     }
 
+    /// Remove every chain an ejection of `node` removes; returns the
+    /// deactivated nodes.
+    fn remove_chains_for(w: &mut WorkGraph, node: NodeId) -> Vec<NodeId> {
+        let mut chains = Vec::new();
+        w.chains_to_remove_into(node, &mut chains);
+        let mut removed = Vec::new();
+        for &chain in &chains {
+            w.remove_chain_into(chain, &mut removed);
+        }
+        removed
+    }
+
     #[test]
     fn monolithic_does_not_touch_the_graph() {
         let g = simple_loop();
@@ -1214,13 +1172,14 @@ mod tests {
             .map(|(id, _)| id)
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
-        let new_nodes = w.insert_communication(owner, edge_id);
+        let mut new_nodes = Vec::new();
+        w.insert_communication_into(owner, edge_id, &mut new_nodes);
         assert_eq!(new_nodes.len(), 1);
         assert_eq!(w.ddg.node(new_nodes[0]).kind, OpKind::Move);
         assert!(!w.edge_is_active(edge_id));
         assert_eq!(w.active_count(), 6);
         // undo by ejecting the owner
-        let removed = w.remove_chains_for(owner);
+        let removed = remove_chains_for(&mut w, owner);
         assert_eq!(removed, new_nodes);
         assert!(w.edge_is_active(edge_id));
         assert_eq!(w.active_count(), 5);
@@ -1242,7 +1201,8 @@ mod tests {
             .find(|(_, e)| e.src == p && e.dst == c1)
             .map(|(id, _)| id)
             .unwrap();
-        let n1 = w.insert_communication(c1, e1);
+        let mut n1 = Vec::new();
+        w.insert_communication_into(c1, e1, &mut n1);
         // first chain: StoreR + LoadR
         assert_eq!(n1.len(), 2);
         let e2 = w
@@ -1251,7 +1211,8 @@ mod tests {
             .find(|(id, e)| w.edge_is_active(*id) && e.src == p && e.dst == c2)
             .map(|(id, _)| id)
             .unwrap();
-        let n2 = w.insert_communication(c2, e2);
+        let mut n2 = Vec::new();
+        w.insert_communication_into(c2, e2, &mut n2);
         // second chain reuses the StoreR: only a LoadR is added
         assert_eq!(n2.len(), 1);
         assert_eq!(w.ddg.node(n2[0]).kind, OpKind::LoadR);
@@ -1275,7 +1236,8 @@ mod tests {
             .map(|(id, e)| (id, *e))
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
-        let nodes = w.insert_communication(owner, edge_id);
+        let mut nodes = Vec::new();
+        w.insert_communication_into(owner, edge_id, &mut nodes);
         // LoadR is not a shared-bank producer, so the chain is StoreR + LoadR;
         // (a smarter scheduler would reload from the original Load, but the
         // conservative chain is still correct).
@@ -1296,7 +1258,8 @@ mod tests {
             .unwrap();
         let owner = w.ddg.edge(edge_id).dst;
         let before = w.active_memory_ops();
-        let nodes = w.insert_spill_to_memory(owner, edge_id);
+        let mut nodes = Vec::new();
+        w.insert_spill_to_memory_into(owner, edge_id, &mut nodes);
         assert_eq!(nodes.len(), 2);
         assert_eq!(w.active_memory_ops(), before + 2);
         let (_, _, _, sl, ss) = w.inserted_counts();
@@ -1310,7 +1273,7 @@ mod tests {
         let mut w = WorkGraph::new(&g, &machine("4C16S64"));
         let before = w.active_count();
         // Ejecting the multiply must not remove the interface LoadR.
-        let removed = w.remove_chains_for(NodeId(2));
+        let removed = remove_chains_for(&mut w, NodeId(2));
         assert!(removed.is_empty());
         assert_eq!(w.active_count(), before);
     }

@@ -148,7 +148,9 @@ proptest! {
         let mut tracker = PressureTracker::new(ii, clusters, w.ddg.num_nodes());
         // The hierarchical preprocessing rewires edges before the tracker
         // exists; drain the dirty set once, like the scheduler does.
-        for n in w.take_pressure_dirty() {
+        let mut dirty = Vec::new();
+        w.swap_pressure_dirty(&mut dirty);
+        for &n in &dirty {
             tracker.refresh(&w, &placements, n);
         }
         let nodes: Vec<_> = w.active_nodes().collect();
@@ -166,16 +168,17 @@ proptest! {
         }
     }
 
-    /// On randomized place/eject sequences driven through the
-    /// `PlacementStore`, the `SlotIndex` membership always equals a
+    /// On randomized place/eject/violator-ejection sequences driven through
+    /// the `PlacementStore`, the `SlotIndex` membership always equals a
     /// from-scratch scan of the placements (and the MRT equals a replayed
-    /// table), and the victim chosen by the indexed `pick_victim` equals the
-    /// linear-scan oracle's choice for arbitrary (kind, cycle, cluster)
-    /// conflict probes — mirroring the PR 2 pressure-oracle pattern.
+    /// table), the store's incremental pressure tracker equals the batch
+    /// `pressure()` oracle, and the victim chosen by the indexed
+    /// `pick_victim` equals the linear-scan oracle's choice for arbitrary
+    /// (kind, cycle, cluster) conflict probes.
     #[test]
     fn slot_index_matches_scan_and_victim_policies_agree(
         ddg in arb_loop(14),
-        ops in prop::collection::vec((any::<u16>(), 0u32..4, 0i64..48), 4..48),
+        ops in prop::collection::vec((any::<u16>(), 0u32..4, 0i64..48, 0u8..4), 4..48),
         probes in prop::collection::vec((0u8..5, 0i64..48, 0u32..4), 1..12),
         hier in any::<bool>(),
         ii in 1u32..9,
@@ -190,18 +193,35 @@ proptest! {
         store.sync_pressure(&mut w);
         let nodes: Vec<_> = w.active_nodes().collect();
         let probe_kinds = [OpKind::FAdd, OpKind::FDiv, OpKind::Load, OpKind::LoadR, OpKind::StoreR];
-        for (sel, cluster, cycle) in ops {
+        for (sel, cluster, cycle, action) in ops {
             let n = nodes[sel as usize % nodes.len()];
             if !w.is_active(n) {
                 continue; // removed by an earlier chain-removing ejection
             }
-            if store.is_placed(n) {
+            if action == 0 {
+                // A forced placement's violators: up to four placed nodes,
+                // ejected around `n`, which keeps its slot when placed.
+                let mut victims: Vec<_> = (0..=cluster as usize)
+                    .map(|k| nodes[(sel as usize + k * 7 + cycle as usize) % nodes.len()])
+                    .filter(|&v| store.is_placed(v))
+                    .collect();
+                victims.sort_unstable_by_key(|v| v.index());
+                victims.dedup();
+                let keeps_slot = store.placement(n);
+                store.eject_violators(&mut w, &victims, n, &lat);
+                prop_assert_eq!(store.placement(n), keeps_slot);
+                prop_assert!(victims.iter().all(|&v| v == n || !store.is_placed(v)));
+            } else if store.is_placed(n) {
                 store.eject(&mut w, n, &lat);
             } else {
                 store.place(&w, n, cycle, cluster % machine.clusters(), &lat);
             }
             if let Err(diff) = validate_store(&store, &w, &lat) {
                 return Err(TestCaseError::fail(format!("{cfg} II={ii}: {diff}")));
+            }
+            store.sync_pressure(&mut w);
+            if let Some(diff) = store.tracker().diff_from_batch(&w, store.placements(), &lat) {
+                return Err(TestCaseError::fail(format!("{cfg} II={ii} pressure: {diff}")));
             }
             for &(k, pc, pcl) in &probes {
                 let kind = probe_kinds[k as usize % probe_kinds.len()];
@@ -338,7 +358,8 @@ proptest! {
                 })
                 .map(|(id, e)| (id, *e));
             if let Some((edge_id, edge)) = spill_edge {
-                let new_nodes = w.insert_spill_to_memory(edge.dst, edge_id);
+                let mut new_nodes = Vec::new();
+                w.insert_spill_to_memory_into(edge.dst, edge_id, &mut new_nodes);
                 store.grow(w.ddg.num_nodes());
                 prop_assert!(store.placements().len() > pristine_nodes);
                 for n in new_nodes {
